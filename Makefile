@@ -7,12 +7,18 @@ GO ?= go
 # when not, since offline containers cannot fetch it.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test short cover bench bench-all benchdiff verify-identical race results quick-results fuzz fuzz-smoke examples vet lint docs-check serve-smoke replay-smoke fleet-smoke clean
+.PHONY: all build perfbench-build test short cover bench bench-all benchdiff verify-identical race results quick-results fuzz fuzz-smoke examples vet lint docs-check serve-smoke replay-smoke fleet-smoke clean
 
 all: build test
 
 build:
 	$(GO) build ./...
+
+# perfbench/ is its own Go module (replace chimera => ../), so `go build
+# ./...` never compiles it: build it here, offline against the current
+# tree, so a root API change that breaks the benchmark fails the build.
+perfbench-build:
+	cd perfbench && GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=readonly GOWORK=off $(GO) build -o /dev/null .
 
 vet:
 	$(GO) vet ./...

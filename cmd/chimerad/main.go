@@ -196,7 +196,7 @@ func run(o options) error {
 		handler = plan.Middleware(handler)
 		fmt.Printf("chimerad fault plan %s\n", plan.Fingerprint())
 	}
-	hs := &http.Server{Handler: handler}
+	hs := server.HTTPServer(handler)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"chimera/internal/cluster"
+	"chimera/internal/server"
 )
 
 func main() {
@@ -113,7 +114,7 @@ func run(addr string, replicas []string, vnodes, maxInflight int, probe time.Dur
 		}()
 	}
 
-	hs := &http.Server{Handler: front.Handler()}
+	hs := server.HTTPServer(front.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

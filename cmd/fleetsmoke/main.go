@@ -28,23 +28,21 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"net"
 	"os"
-	"os/exec"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"chimera/internal/cluster"
 	"chimera/internal/jobspec"
 	"chimera/internal/server"
 	"chimera/internal/server/client"
+	"chimera/internal/smoke"
 )
 
 func main() {
@@ -69,19 +67,6 @@ func main() {
 	fmt.Println("fleetsmoke: PASS")
 }
 
-// daemon is one booted process under test (chimerad or chimerafront).
-type daemon struct {
-	name string
-	cmd  *exec.Cmd
-	addr string
-	// drained reports whether the process printed its drain marker
-	// before stdout closed.
-	drained chan bool
-	// faultPlan receives the fingerprint a chimerad printed when its
-	// fault plane was armed ("" when it never printed one).
-	faultPlan chan string
-}
-
 // freePorts reserves n distinct free TCP ports by binding and releasing
 // them. The tiny release-to-reuse window is an accepted smoke-test
 // race; a clash fails loudly at boot.
@@ -104,93 +89,10 @@ func freePorts(n int) ([]int, error) {
 	return ports, nil
 }
 
-// boot starts bin and waits for its "<name> listening on ADDR"
-// announcement, then keeps scanning stdout for the fault-plan banner
-// and the "<name> drained" marker.
-func boot(ctx context.Context, name, bin string, args ...string) (*daemon, error) {
-	cmd := exec.CommandContext(ctx, bin, args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("boot %s: %w", bin, err)
-	}
-	d := &daemon{name: name, cmd: cmd, drained: make(chan bool, 1), faultPlan: make(chan string, 1)}
-
-	sc := bufio.NewScanner(stdout)
-	for sc.Scan() {
-		if rest, ok := strings.CutPrefix(sc.Text(), name+" listening on "); ok {
-			d.addr = rest
-			break
-		}
-	}
-	if d.addr == "" {
-		_ = cmd.Process.Kill()
-		return nil, fmt.Errorf("%s never announced its address", name)
-	}
-	go func() {
-		plan, drained := "", false
-		for sc.Scan() {
-			line := sc.Text()
-			if rest, ok := strings.CutPrefix(line, "chimerad fault plan "); ok {
-				plan = rest
-			}
-			if strings.Contains(line, name+" drained") {
-				drained = true
-				break
-			}
-		}
-		d.faultPlan <- plan
-		d.drained <- drained
-	}()
-	return d, nil
-}
-
-// kill force-stops the daemon (cleanup for error paths).
-func (d *daemon) kill() {
-	if d.cmd.Process != nil {
-		_ = d.cmd.Process.Kill()
-	}
-}
-
-// drain sends SIGTERM and verifies the daemon prints its drain marker
-// and exits 0. It returns the fault-plan fingerprint seen on stdout.
-func (d *daemon) drain(ctx context.Context) (string, error) {
-	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return "", fmt.Errorf("signal %s: %w", d.name, err)
-	}
-	// The pipe must be fully read before cmd.Wait — Wait closes it and
-	// would discard a still-buffered marker line.
-	var plan string
-	var sawDrain bool
-	select {
-	case plan = <-d.faultPlan:
-		sawDrain = <-d.drained
-	case <-ctx.Done():
-		return "", fmt.Errorf("%s did not drain after SIGTERM", d.name)
-	}
-	if !sawDrain {
-		return plan, fmt.Errorf("%s exited without draining", d.name)
-	}
-	exit := make(chan error, 1)
-	go func() { exit <- d.cmd.Wait() }()
-	select {
-	case err := <-exit:
-		if err != nil {
-			return plan, fmt.Errorf("%s exited non-zero after SIGTERM: %w", d.name, err)
-		}
-	case <-ctx.Done():
-		return plan, fmt.Errorf("%s did not exit after SIGTERM", d.name)
-	}
-	return plan, nil
-}
-
 // fleet is a booted two-replica fleet plus its front proxy.
 type fleet struct {
-	replicas []*daemon
-	front    *daemon
+	replicas []*smoke.Daemon
+	front    *smoke.Daemon
 	peers    []string
 	ring     *cluster.Ring
 }
@@ -198,10 +100,10 @@ type fleet struct {
 // kill force-stops every process (cleanup for error paths).
 func (f *fleet) kill() {
 	for _, r := range f.replicas {
-		r.kill()
+		r.Kill()
 	}
 	if f.front != nil {
-		f.front.kill()
+		f.front.Kill()
 	}
 }
 
@@ -232,14 +134,14 @@ func bootFleet(ctx context.Context, chimerad, front string, faultIdx int, extra 
 		if i == faultIdx {
 			args = append(args, extra...)
 		}
-		r, err := boot(ctx, "chimerad", chimerad, args...)
+		r, err := smoke.Boot(ctx, "chimerad", chimerad, args...)
 		if err != nil {
 			f.kill()
 			return nil, err
 		}
 		f.replicas = append(f.replicas, r)
 	}
-	f.front, err = boot(ctx, "chimerafront", front,
+	f.front, err = smoke.Boot(ctx, "chimerafront", front,
 		"-addr", "127.0.0.1:0", "-replicas", peerList, "-probe", "250ms")
 	if err != nil {
 		f.kill()
@@ -271,9 +173,9 @@ func runFleet(ctx context.Context, chimerad, front string) error {
 	}
 	defer f.kill()
 	fmt.Printf("fleetsmoke: replicas %s + %s, front %s\n",
-		f.replicas[0].addr, f.replicas[1].addr, f.front.addr)
+		f.replicas[0].Addr, f.replicas[1].Addr, f.front.Addr)
 
-	c := client.New("http://" + f.front.addr)
+	c := client.New("http://" + f.front.Addr)
 
 	// 8 distinct specs, each submitted 3 times. Serial submission makes
 	// the counter arithmetic exact: the first submission of a spec
@@ -341,11 +243,11 @@ func runFleet(ctx context.Context, chimerad, front string) error {
 	fmt.Println("fleetsmoke: front routed/cache-hit counters exact")
 
 	// Graceful drains: front first (it stops proxying), then replicas.
-	if _, err := f.front.drain(ctx); err != nil {
+	if _, err := f.front.Drain(ctx); err != nil {
 		return err
 	}
 	for _, r := range f.replicas {
-		if _, err := r.drain(ctx); err != nil {
+		if _, err := r.Drain(ctx); err != nil {
 			return err
 		}
 	}
@@ -380,9 +282,9 @@ func runChaos(ctx context.Context, chimerad, front string) error {
 		return err
 	}
 	defer f.kill()
-	fmt.Printf("fleetsmoke: chaos fleet up, victim %s\n", f.replicas[victim].addr)
+	fmt.Printf("fleetsmoke: chaos fleet up, victim %s\n", f.replicas[victim].Addr)
 
-	c := client.New("http://"+f.front.addr, client.WithMaxAttempts(8))
+	c := client.New("http://"+f.front.Addr, client.WithMaxAttempts(8))
 
 	// Phase 1: jobs owned by the victim, submitted while it is alive and
 	// injecting 503s/resets — the front must absorb the faults.
@@ -401,8 +303,8 @@ func runChaos(ctx context.Context, chimerad, front string) error {
 	// Kill the victim mid-run: SIGTERM starts its drain (admission goes
 	// 503 immediately), so in-flight work finishes but the ring range is
 	// orphaned while the remaining load is still flowing.
-	if err := f.replicas[victim].cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return fmt.Errorf("SIGTERM victim: %w", err)
+	if err := f.replicas[victim].Terminate(); err != nil {
+		return err
 	}
 
 	// Phase 2: more jobs owned by the (now dying) victim. Every one must
@@ -421,7 +323,7 @@ func runChaos(ctx context.Context, chimerad, front string) error {
 
 	// The victim must have drained gracefully and reported its
 	// deterministic fault plan.
-	plan, err := f.replicas[victim].drain(ctx)
+	plan, err := f.replicas[victim].Drain(ctx)
 	if err != nil {
 		return err
 	}
@@ -442,10 +344,10 @@ func runChaos(ctx context.Context, chimerad, front string) error {
 	}
 	fmt.Println("fleetsmoke: front failover counter moved")
 
-	if _, err := f.front.drain(ctx); err != nil {
+	if _, err := f.front.Drain(ctx); err != nil {
 		return err
 	}
-	if _, err := f.replicas[0].drain(ctx); err != nil {
+	if _, err := f.replicas[0].Drain(ctx); err != nil {
 		return err
 	}
 	fmt.Println("fleetsmoke: chaos fleet drained")

@@ -19,7 +19,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -28,13 +27,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
-	"syscall"
 	"time"
 
 	"chimera/internal/jobspec"
 	"chimera/internal/server"
 	"chimera/internal/server/client"
+	"chimera/internal/smoke"
 )
 
 func main() {
@@ -136,47 +134,15 @@ func run(ctx context.Context, daemonBin, replayBin string) error {
 
 // record boots the daemon with -record, drives the campaign and drains.
 func record(ctx context.Context, daemonBin, traceFile string) error {
-	cmd := exec.CommandContext(ctx, daemonBin,
+	d, err := smoke.Boot(ctx, "chimerad", daemonBin,
 		"-addr", "127.0.0.1:0", "-workers", "2", "-record", traceFile)
-	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return err
 	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("boot %s: %w", daemonBin, err)
-	}
-	defer func() {
-		if cmd.Process != nil {
-			_ = cmd.Process.Kill()
-		}
-	}()
+	defer d.Kill()
+	fmt.Printf("replaysmoke: recording daemon up at %s\n", d.Addr)
 
-	var addr string
-	sc := bufio.NewScanner(stdout)
-	for sc.Scan() {
-		if rest, ok := strings.CutPrefix(sc.Text(), "chimerad listening on "); ok {
-			addr = rest
-			break
-		}
-	}
-	if addr == "" {
-		return fmt.Errorf("daemon never announced its address")
-	}
-	drained := make(chan bool, 1)
-	go func() {
-		saw := false
-		for sc.Scan() {
-			if strings.Contains(sc.Text(), "chimerad drained") {
-				saw = true
-				break
-			}
-		}
-		drained <- saw
-	}()
-	fmt.Printf("replaysmoke: recording daemon up at %s\n", addr)
-
-	c := client.New("http://" + addr)
+	c := client.New("http://" + d.Addr)
 	for i, spec := range campaign() {
 		st, err := c.SubmitWait(ctx, spec)
 		if err != nil {
@@ -186,22 +152,8 @@ func record(ctx context.Context, daemonBin, traceFile string) error {
 			return fmt.Errorf("job %d finished %s: %s", i, st.State, st.Error)
 		}
 	}
-
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return fmt.Errorf("signal: %w", err)
-	}
-	select {
-	case saw := <-drained:
-		if !saw {
-			return fmt.Errorf("daemon exited without draining")
-		}
-	case <-ctx.Done():
-		return fmt.Errorf("daemon did not drain after SIGTERM")
-	}
-	if err := cmd.Wait(); err != nil {
-		return fmt.Errorf("daemon exited non-zero: %w", err)
-	}
-	return nil
+	_, err = d.Drain(ctx)
+	return err
 }
 
 // readTrace loads and validates the recorded trace.

@@ -19,20 +19,18 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"strings"
-	"syscall"
 	"time"
 
 	"chimera/internal/jobspec"
 	"chimera/internal/server"
 	"chimera/internal/server/client"
+	"chimera/internal/smoke"
 )
 
 func main() {
@@ -56,102 +54,9 @@ func main() {
 	fmt.Println("servesmoke: PASS")
 }
 
-// daemon is one booted chimerad instance under test.
-type daemon struct {
-	cmd  *exec.Cmd
-	addr string
-	// drained reports whether the process printed its drain marker
-	// before stdout closed.
-	drained chan bool
-	// faultPlan receives the fingerprint the daemon printed at boot when
-	// its fault plane was armed ("" when it never printed one).
-	faultPlan chan string
-}
-
-// bootDaemon starts bin with the given extra flags on a random port and
-// waits for its address announcement.
-func bootDaemon(ctx context.Context, bin string, extra ...string) (*daemon, error) {
-	args := append([]string{"-addr", "127.0.0.1:0"}, extra...)
-	cmd := exec.CommandContext(ctx, bin, args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("boot %s: %w", bin, err)
-	}
-	d := &daemon{cmd: cmd, drained: make(chan bool, 1), faultPlan: make(chan string, 1)}
-
-	// The daemon prints "chimerad listening on ADDR" once the socket is
-	// bound; everything after that is the fault-plan banner (when armed)
-	// and drain chatter.
-	sc := bufio.NewScanner(stdout)
-	for sc.Scan() {
-		if rest, ok := strings.CutPrefix(sc.Text(), "chimerad listening on "); ok {
-			d.addr = rest
-			break
-		}
-	}
-	if d.addr == "" {
-		_ = cmd.Process.Kill()
-		return nil, fmt.Errorf("daemon never announced its address")
-	}
-	go func() {
-		plan, drained := "", false
-		for sc.Scan() {
-			line := sc.Text()
-			if rest, ok := strings.CutPrefix(line, "chimerad fault plan "); ok {
-				plan = rest
-			}
-			if strings.Contains(line, "chimerad drained") {
-				drained = true
-				break
-			}
-		}
-		d.faultPlan <- plan
-		d.drained <- drained
-	}()
-	return d, nil
-}
-
-// kill force-stops the daemon (cleanup for error paths).
-func (d *daemon) kill() {
-	if d.cmd.Process != nil {
-		_ = d.cmd.Process.Kill()
-	}
-}
-
-// drain sends SIGTERM and verifies the daemon prints its drain marker
-// and exits 0. It returns the fault-plan fingerprint seen on stdout.
-func (d *daemon) drain(ctx context.Context) (string, error) {
-	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return "", fmt.Errorf("signal: %w", err)
-	}
-	// The pipe must be fully read before cmd.Wait — Wait closes it and
-	// would discard a still-buffered marker line.
-	var plan string
-	var sawDrain bool
-	select {
-	case plan = <-d.faultPlan:
-		sawDrain = <-d.drained
-	case <-ctx.Done():
-		return "", fmt.Errorf("daemon did not drain after SIGTERM")
-	}
-	if !sawDrain {
-		return plan, fmt.Errorf("daemon exited without draining")
-	}
-	exit := make(chan error, 1)
-	go func() { exit <- d.cmd.Wait() }()
-	select {
-	case err := <-exit:
-		if err != nil {
-			return plan, fmt.Errorf("daemon exited non-zero after SIGTERM: %w", err)
-		}
-	case <-ctx.Done():
-		return plan, fmt.Errorf("daemon did not exit after SIGTERM")
-	}
-	return plan, nil
+// bootDaemon starts bin on a random port with the given extra flags.
+func bootDaemon(ctx context.Context, bin string, extra ...string) (*smoke.Daemon, error) {
+	return smoke.Boot(ctx, "chimerad", bin, append([]string{"-addr", "127.0.0.1:0"}, extra...)...)
 }
 
 // run executes the fault-free smoke sequence against one daemon
@@ -161,10 +66,10 @@ func run(ctx context.Context, bin string) error {
 	if err != nil {
 		return err
 	}
-	defer d.kill()
-	fmt.Printf("servesmoke: daemon up at %s\n", d.addr)
+	defer d.Kill()
+	fmt.Printf("servesmoke: daemon up at %s\n", d.Addr)
 
-	c := client.New("http://" + d.addr)
+	c := client.New("http://" + d.Addr)
 
 	// Submit a small periodic job and poll it to completion. Specs are
 	// built with the jobspec builders — the same construction path as
@@ -230,7 +135,7 @@ func run(ctx context.Context, bin string) error {
 
 	// Graceful drain: SIGTERM, then the process must print its drained
 	// marker and exit 0.
-	if _, err := d.drain(ctx); err != nil {
+	if _, err := d.Drain(ctx); err != nil {
 		return err
 	}
 	fmt.Println("servesmoke: graceful drain ok")
@@ -253,10 +158,10 @@ func runChaos(ctx context.Context, bin string) error {
 	if err != nil {
 		return err
 	}
-	defer d.kill()
-	fmt.Printf("servesmoke: faulted daemon up at %s\n", d.addr)
+	defer d.Kill()
+	fmt.Printf("servesmoke: faulted daemon up at %s\n", d.Addr)
 
-	c := client.New("http://"+d.addr, client.WithMaxAttempts(8))
+	c := client.New("http://"+d.Addr, client.WithMaxAttempts(8))
 
 	const jobs = 3
 	for i := 0; i < jobs; i++ {
@@ -293,7 +198,7 @@ func runChaos(ctx context.Context, bin string) error {
 	}
 	fmt.Printf("servesmoke: %d jobs recovered from injected panics\n", jobs)
 
-	plan, err := d.drain(ctx)
+	plan, err := d.Drain(ctx)
 	if err != nil {
 		return err
 	}

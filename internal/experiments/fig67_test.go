@@ -51,7 +51,7 @@ func TestPeriodicSweepSpecIdentity(t *testing.T) {
 	for _, idx := range []int{0, len(policies) + 2} {
 		spec := specs[idx]
 		bench, policy := benches[idx/len(policies)], policies[idx%len(policies)]
-		direct, _, err := r.RunPeriodicCtx(ctx, bench, policy)
+		direct, err := r.RunPeriodic(bench, policy)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -280,7 +280,8 @@ func (s *Server) executeWithRetry(ctx context.Context, spec JobSpec) (res *JobRe
 // executed (false = result cache, singleflight dedup or peer-cache
 // hit), and any recorded trace events. All spec interpretation happens
 // in jobspec/workloads — the server only wires its environment
-// (registry, pool, watchdog, fault plane, fleet) into the executor.
+// (registry, pool, watchdog, fault plane, fleet) into the executor,
+// which runs traced specs on the same path as untraced ones.
 func (s *Server) execute(ctx context.Context, spec JobSpec) (res *JobResult, raw []byte, executed bool, events []trace.Event, err error) {
 	// Fleet short-circuit: if the hash owner already finished this
 	// spec, serve its payload byte-for-byte instead of recomputing.
@@ -291,34 +292,6 @@ func (s *Server) execute(ctx context.Context, spec JobSpec) (res *JobResult, raw
 		if jerr := json.Unmarshal(payload, &peerRes); jerr == nil {
 			return &peerRes, payload, false, nil, nil
 		}
-	}
-
-	if spec.Trace {
-		policy, _, err := jobspec.ParsePolicy(spec.Policy)
-		if err != nil {
-			return nil, nil, false, nil, err
-		}
-		rec, err := workloads.RecordContext(ctx, workloads.RecordOptions{
-			Bench:      spec.Bench,
-			Window:     units.FromMicroseconds(spec.WindowUs),
-			Constraint: units.FromMicroseconds(spec.ConstraintUs),
-			Seed:       spec.Seed,
-			Policy:     policy,
-			Estimator:  spec.Estimator,
-			Metrics:    s.reg,
-		})
-		if err != nil {
-			return nil, nil, true, nil, err
-		}
-		return &JobResult{
-			Kind: spec.Kind,
-			Trace: &TraceInfo{
-				Events:     len(rec.Events),
-				Periods:    rec.Periods,
-				Violations: rec.Violations,
-				Requests:   rec.Requests,
-			},
-		}, nil, true, rec.Events, nil
 	}
 
 	runner, err := workloads.NewRunnerWith(s.catalog,
@@ -343,6 +316,10 @@ func (s *Server) execute(ctx context.Context, spec JobSpec) (res *JobResult, raw
 	out, ran, err := workloads.NewExecutor(runner).Run(ctx, spec)
 	if err != nil {
 		return nil, nil, ran, nil, err
+	}
+	if rec := out.Recording; rec != nil {
+		info := &TraceInfo{Events: len(rec.Events), Periods: rec.Periods, Violations: rec.Violations, Requests: rec.Requests}
+		return &JobResult{Kind: out.Kind, Trace: info}, nil, ran, rec.Events, nil
 	}
 	return &JobResult{
 		Kind:     out.Kind,

@@ -308,6 +308,26 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// Connection limits of the daemons' HTTP servers (HTTPServer).
+const (
+	// ReadHeaderTimeout bounds how long a client may take to send its
+	// request headers, so a client that stalls mid-header cannot hold a
+	// connection open forever.
+	ReadHeaderTimeout = 10 * time.Second
+	// IdleTimeout closes keep-alive connections idle this long.
+	IdleTimeout = 2 * time.Minute
+)
+
+// HTTPServer wraps h in the http.Server both daemons (chimerad and
+// chimerafront) serve with: headers must arrive within
+// ReadHeaderTimeout and idle keep-alive connections close after
+// IdleTimeout. There is deliberately no WriteTimeout — SSE progress
+// streams and wait=1 submissions legitimately stay open for the length
+// of a simulation.
+func HTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
+
 // handlePeerCache serves the cluster peer-cache protocol
 // (docs/cluster.md): a pure read of the finished-result index, 200
 // with the terminal JobResult payload or 404. It never computes.

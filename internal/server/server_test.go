@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -457,6 +458,50 @@ func TestTraceEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("untraced trace fetch: got %d, want 404", resp2.StatusCode)
+	}
+}
+
+// TestTracedJobHonoursHeadroom pins that a traced periodic job simulates
+// exactly what its untraced twin does, headroom included: both report
+// the same periods, deadline violations and preemption requests. BT at
+// a 5 µs constraint is a case where a 4 µs headroom changes those counts
+// against none, so a traced run that dropped the headroom would differ.
+func TestTracedJobHonoursHeadroom(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	spec := JobSpec{Kind: KindPeriodic, Bench: "BT", WindowUs: 5000, ConstraintUs: 5, HeadroomUs: 4}
+	counts := func(spec JobSpec) (periods, violations, requests int) {
+		t.Helper()
+		st, code := postJob(t, ts, spec, "?wait=1")
+		if code != http.StatusOK || st.State != StateDone {
+			t.Fatalf("%+v: got %d, state %s (%s)", spec, code, st.State, st.Error)
+		}
+		var res JobResult
+		if err := json.Unmarshal(st.Result, &res); err != nil {
+			t.Fatal(err)
+		}
+		if spec.Trace {
+			if res.Trace == nil {
+				t.Fatalf("traced job result has no trace info: %+v", res)
+			}
+			return res.Trace.Periods, res.Trace.Violations, res.Trace.Requests
+		}
+		p := res.Periodic
+		return p.Periods, int(math.Round(p.ViolationRate * float64(p.Periods))), len(p.Outcomes)
+	}
+	untraced := spec
+	p, v, r := counts(untraced)
+	traced := spec
+	traced.Trace = true
+	tp, tv, tr := counts(traced)
+	if tp != p || tv != v || tr != r {
+		t.Errorf("traced run: %d periods, %d violations, %d requests; untraced: %d, %d, %d",
+			tp, tv, tr, p, v, r)
+	}
+	bare := spec
+	bare.HeadroomUs = 0
+	if bp, bv, br := counts(bare); bp == p && bv == v && br == r {
+		t.Errorf("headroom %gµs left the counts unchanged (%d, %d, %d); pick a spec where it matters",
+			spec.HeadroomUs, p, v, r)
 	}
 }
 

@@ -16,10 +16,14 @@ type SpecResult struct {
 	Kind string
 	// SoloRate is the stand-alone progress rate (solo specs).
 	SoloRate float64
-	// Periodic is the §4.1 periodic-task outcome (periodic specs).
+	// Periodic is the §4.1 periodic-task outcome (untraced periodic
+	// specs).
 	Periodic *PeriodicResult
 	// Pair is the §4.4 ANTT/STP outcome (pair specs).
 	Pair *PairResult
+	// Recording is the full event stream and headline counts of a
+	// traced periodic spec.
+	Recording *Recording
 }
 
 // Executor runs canonical jobspec.Specs against the simulation engine.
@@ -27,9 +31,9 @@ type SpecResult struct {
 // warm/contention/device configuration, watchdog and fault plumbing) and
 // derives a per-spec Runner for each Spec, so every entry point that
 // speaks jobspec — chimerad, the exhibits, replay — funnels into the
-// exact same execution and cache-identity path as programmatic Runner
-// callers. Two specs with equal Hash() map onto the same simjob.Job and
-// therefore the same memoized result.
+// package's one scenario path, traced specs included. Two specs with
+// equal Hash() map onto the same simjob.Job and therefore the same
+// memoized result.
 type Executor struct {
 	base *Runner
 }
@@ -57,10 +61,29 @@ func NewDefaultExecutor() (*Executor, error) {
 // Runner exposes the environment Runner the Executor derives from.
 func (e *Executor) Runner() *Runner { return e.base }
 
-// runnerFor derives the per-spec Runner: the base environment with the
-// spec's simulation parameters substituted in. The spec must already be
-// normalized.
-func (e *Executor) runnerFor(spec jobspec.Spec) *Runner {
+// specKinds maps a spec's kind onto its scenario kind.
+var specKinds = map[string]simjob.Kind{
+	jobspec.KindSolo:     simjob.KindSolo,
+	jobspec.KindPeriodic: simjob.KindPeriodic,
+	jobspec.KindPair:     simjob.KindPair,
+}
+
+// prepare normalizes and validates spec in place and derives its
+// per-spec Runner — the base environment with the spec's simulation
+// parameters substituted in — and its scenario.
+func (e *Executor) prepare(spec *jobspec.Spec) (*Runner, scenario, error) {
+	spec.Normalize()
+	if err := spec.Validate(e.base.cat); err != nil {
+		return nil, scenario{}, err
+	}
+	policy, serial, err := jobspec.ParsePolicy(spec.Policy)
+	if err != nil {
+		return nil, scenario{}, err
+	}
+	kind, ok := specKinds[spec.Kind]
+	if !ok {
+		return nil, scenario{}, fmt.Errorf("workloads: unknown spec kind %q", spec.Kind)
+	}
 	r := *e.base
 	r.Window = units.FromMicroseconds(spec.WindowUs)
 	r.Constraint = units.FromMicroseconds(spec.ConstraintUs)
@@ -70,41 +93,39 @@ func (e *Executor) runnerFor(spec jobspec.Spec) *Runner {
 	if spec.Variant != "" {
 		r.Variant = spec.Variant
 	}
-	return &r
+	sc := scenario{kind: kind, benches: []string{spec.Bench}, policy: policy, serial: serial}
+	if spec.BenchB != "" {
+		sc.benches = append(sc.benches, spec.BenchB)
+	}
+	return &r, sc, nil
 }
 
 // Run executes one spec. The spec is normalized and validated first, so
 // callers may pass sparse specs straight from user input. executed
 // reports whether the call ran a simulation (false = result cache or
 // singleflight hit) — the dedup signal chimerad and replay reports use.
+// A traced spec always simulates: its result is the Recording, which
+// the cache never holds.
 func (e *Executor) Run(ctx context.Context, spec jobspec.Spec) (res SpecResult, executed bool, err error) {
-	spec.Normalize()
-	if err := spec.Validate(e.base.cat); err != nil {
-		return SpecResult{}, false, err
-	}
-	policy, serial, err := jobspec.ParsePolicy(spec.Policy)
+	r, sc, err := e.prepare(&spec)
 	if err != nil {
 		return SpecResult{}, false, err
 	}
-	r := e.runnerFor(spec)
 	res.Kind = spec.Kind
-	switch spec.Kind {
-	case jobspec.KindSolo:
-		res.SoloRate, executed, err = r.SoloRateCtx(ctx, spec.Bench)
-	case jobspec.KindPeriodic:
+	switch {
+	case spec.Trace:
+		executed = true
+		res.Recording, err = r.record(ctx, sc, nil)
+	case sc.kind == simjob.KindSolo:
+		res.SoloRate, executed, err = r.solo(ctx, spec.Bench)
+	case sc.kind == simjob.KindPeriodic:
 		var pr PeriodicResult
-		pr, executed, err = r.RunPeriodicCtx(ctx, spec.Bench, policy)
-		if err == nil {
-			res.Periodic = &pr
-		}
-	case jobspec.KindPair:
-		var pr PairResult
-		pr, executed, err = r.RunPairCtx(ctx, spec.Bench, spec.BenchB, policy, serial)
-		if err == nil {
-			res.Pair = &pr
-		}
+		pr, executed, err = r.periodic(ctx, spec.Bench, sc.policy)
+		res.Periodic = &pr
 	default:
-		err = fmt.Errorf("workloads: unknown spec kind %q", spec.Kind)
+		var pr PairResult
+		pr, executed, err = r.pair(ctx, spec.Bench, spec.BenchB, sc.policy, sc.serial)
+		res.Pair = &pr
 	}
 	if err != nil {
 		return SpecResult{}, executed, err
@@ -116,23 +137,13 @@ func (e *Executor) Run(ctx context.Context, spec jobspec.Spec) (res SpecResult, 
 // results in enumeration order — like the other batch APIs, output is
 // byte-identical at any parallelism. The first error aborts the batch.
 func (e *Executor) RunSpecs(ctx context.Context, specs []jobspec.Spec) ([]SpecResult, error) {
-	out := make([]SpecResult, len(specs))
-	tasks := make([]func() error, len(specs))
-	for i, spec := range specs {
-		i, spec := i, spec
-		tasks[i] = func() error {
-			res, _, err := e.Run(ctx, spec)
-			if err != nil {
-				return fmt.Errorf("workloads: spec %s (%s %s): %w", spec.Hash(), spec.Kind, spec.Benchmarks(), err)
-			}
-			out[i] = res
-			return nil
+	return fanOut(e.base.pool, specs, func(spec jobspec.Spec) (SpecResult, error) {
+		res, _, err := e.Run(ctx, spec)
+		if err != nil {
+			return SpecResult{}, fmt.Errorf("workloads: spec %s (%s %s): %w", spec.Hash(), spec.Kind, spec.Benchmarks(), err)
 		}
-	}
-	if err := e.base.pool.Run(tasks...); err != nil {
-		return nil, err
-	}
-	return out, nil
+		return res, nil
+	})
 }
 
 // SimJob returns the cache identity the spec executes under — the
@@ -140,24 +151,9 @@ func (e *Executor) RunSpecs(ctx context.Context, specs []jobspec.Spec) ([]SpecRe
 // simjob key. Equal spec hashes yield equal jobs under a fixed
 // environment, which the identity tests pin.
 func (e *Executor) SimJob(spec jobspec.Spec) (simjob.Job, error) {
-	spec.Normalize()
-	if err := spec.Validate(e.base.cat); err != nil {
-		return simjob.Job{}, err
-	}
-	policy, serial, err := jobspec.ParsePolicy(spec.Policy)
+	r, sc, err := e.prepare(&spec)
 	if err != nil {
 		return simjob.Job{}, err
 	}
-	r := e.runnerFor(spec)
-	switch spec.Kind {
-	case jobspec.KindSolo:
-		// Solo runs always execute under the fixed baseline options, so
-		// policy and headroom are normalized out of the key (see
-		// Runner.job).
-		return r.job(simjob.KindSolo, spec.Bench, "", false, 0), nil
-	case jobspec.KindPeriodic:
-		return r.job(simjob.KindPeriodic, spec.Bench, jobspec.PolicyKey(policy, false), false, r.Headroom), nil
-	default: // jobspec.KindPair
-		return r.job(simjob.KindPair, spec.Benchmarks(), jobspec.PolicyKey(policy, serial), serial, 0), nil
-	}
+	return r.job(sc), nil
 }

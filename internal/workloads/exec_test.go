@@ -39,7 +39,7 @@ func TestExecutorMatchesRunner(t *testing.T) {
 	// The programmatic path with the same parameters must dedup against
 	// the spec path — they share a simjob identity.
 	r := e.Runner()
-	direct, executed, err := r.RunPeriodicCtx(ctx, "SAD", engine.ChimeraPolicy{})
+	direct, executed, err := r.periodic(ctx, "SAD", engine.ChimeraPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -27,6 +28,18 @@ type MultiResult struct {
 	BusyFraction float64
 }
 
+// PairResult is one benchmark-pair × policy outcome of the §4.4 case
+// study: absolute ANTT and STP (improvements over FCFS are computed by
+// the experiment harness from two PairResults).
+type PairResult struct {
+	A, B   string
+	Policy string
+	ANTT   float64
+	STP    float64
+	// Requests is the number of preemption requests the pair generated.
+	Requests int
+}
+
 // RunMulti runs the named benchmarks concurrently under the given
 // policy (serial=true for the FCFS baseline) and computes N-program
 // ANTT/STP against their stand-alone rates. Results are memoized by
@@ -35,82 +48,72 @@ func (r *Runner) RunMulti(benches []string, policy engine.Policy, serial bool) (
 	if len(benches) == 0 {
 		return MultiResult{}, fmt.Errorf("workloads: RunMulti with no benchmarks")
 	}
-	job := r.job(simjob.KindMulti, MultiLabel(benches), jobspec.PolicyKey(policy, serial), serial, 0)
-	v, err := r.pool.Do(job, func() (any, error) {
-		return r.runMulti(benches, policy, serial)
-	})
-	if err != nil {
-		return MultiResult{}, err
-	}
-	return v.(MultiResult), nil
+	return noExec(r.multi(context.Background(), scenario{kind: simjob.KindMulti, benches: benches, policy: policy, serial: serial}))
 }
 
-func (r *Runner) runMulti(benches []string, policy engine.Policy, serial bool) (MultiResult, error) {
-	singles := make([]float64, len(benches))
-	for i, b := range benches {
-		rate, err := r.SoloRate(b)
-		if err != nil {
-			return MultiResult{}, err
-		}
-		singles[i] = rate
-	}
-	est, err := r.estimator()
-	if err != nil {
-		return MultiResult{}, err
-	}
-	sim := engine.New(engine.Options{
-		Config:         r.Config,
-		Policy:         policy,
-		Constraint:     r.Constraint,
-		Seed:           r.Seed,
-		WarmStats:      r.Warm,
-		Estimator:      est,
-		Serial:         serial,
-		ContentionBeta: r.Contention,
-	})
-	names := make([]string, len(benches))
-	for i, b := range benches {
-		spec, err := r.cat.Benchmark(b)
-		if err != nil {
-			return MultiResult{}, err
-		}
-		launches, err := Launches(r.cat, spec)
-		if err != nil {
-			return MultiResult{}, err
-		}
-		names[i] = fmt.Sprintf("%s#%d", b, i)
-		sim.AddProcess(engine.ProcessSpec{Name: names[i], Launches: launches, Loop: true})
-	}
-	sim.Run(r.Window)
+// RunPair runs two benchmarks concurrently under the given policy (nil
+// policy + serial=true is the FCFS baseline) and computes ANTT/STP
+// against their stand-alone rates.
+func (r *Runner) RunPair(a, b string, policy engine.Policy, serial bool) (PairResult, error) {
+	return noExec(r.pair(context.Background(), a, b, policy, serial))
+}
 
-	progs := make([]metrics.ProgRate, len(benches))
-	for i := range benches {
-		u := sim.ProcessUseful(names[i])
-		if u < 1 {
-			u = 1 // starvation floor, as in RunPair
-		}
-		progs[i] = metrics.ProgRate{
-			Name:   benches[i],
-			Single: singles[i],
-			Multi:  float64(u) / float64(r.Window),
-		}
-	}
-	antt, err := metrics.ANTT(progs)
+// pair is the two-process case of multi, keyed as a pair and mapped onto
+// PairResult.
+func (r *Runner) pair(ctx context.Context, a, b string, policy engine.Policy, serial bool) (PairResult, bool, error) {
+	m, executed, err := r.multi(ctx, scenario{kind: simjob.KindPair, benches: []string{a, b}, policy: policy, serial: serial})
 	if err != nil {
-		return MultiResult{}, err
+		return PairResult{}, executed, err
 	}
-	stp, err := metrics.STP(progs)
-	if err != nil {
-		return MultiResult{}, err
-	}
-	return MultiResult{
-		Benchmarks:   append([]string(nil), benches...),
-		Policy:       jobspec.PolicyName(policy, serial),
-		ANTT:         antt,
-		STP:          stp,
-		Requests:     len(sim.Requests()),
-		BusyFraction: sim.SMBusyFraction(r.Window),
-	}, nil
+	return PairResult{A: a, B: b, Policy: m.Policy, ANTT: m.ANTT, STP: m.STP, Requests: m.Requests}, executed, nil
+}
+
+// multi runs sc's benchmarks concurrently and computes ANTT/STP against
+// their stand-alone rates.
+func (r *Runner) multi(ctx context.Context, sc scenario) (MultiResult, bool, error) {
+	return do(ctx, r, sc, func(ctx context.Context) (MultiResult, error) {
+		singles := make([]float64, len(sc.benches))
+		for i, b := range sc.benches {
+			rate, _, err := r.solo(ctx, b)
+			if err != nil {
+				return MultiResult{}, err
+			}
+			singles[i] = rate
+		}
+		sim, names, err := r.simulate(ctx, sc, nil)
+		if err != nil {
+			return MultiResult{}, err
+		}
+		progs := make([]metrics.ProgRate, len(sc.benches))
+		for i, b := range sc.benches {
+			// A process that never got the GPU inside the window (FCFS
+			// behind a 20ms kernel) has measured rate zero; floor it at
+			// one instruction per window so its normalized turnaround
+			// reflects the starvation instead of failing the metric.
+			u := sim.ProcessUseful(names[i])
+			if u < 1 {
+				u = 1
+			}
+			progs[i] = metrics.ProgRate{Name: b, Single: singles[i], Multi: float64(u) / float64(r.Window)}
+		}
+		policy := jobspec.PolicyName(sc.policy, sc.serial)
+		antt, err := metrics.ANTT(progs)
+		if err != nil {
+			return MultiResult{}, fmt.Errorf("workloads: %s under %s: %w", MultiLabel(sc.benches), policy, err)
+		}
+		stp, err := metrics.STP(progs)
+		if err != nil {
+			return MultiResult{}, err
+		}
+		return MultiResult{
+			Benchmarks:   append([]string(nil), sc.benches...),
+			Policy:       policy,
+			ANTT:         antt,
+			STP:          stp,
+			Requests:     len(sim.Requests()),
+			BusyFraction: sim.SMBusyFraction(r.Window),
+		}, nil
+	})
 }
 
 // MultiLabel renders a benchmark set compactly, e.g. "LUD+HS+SAD".

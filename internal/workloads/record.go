@@ -2,13 +2,12 @@ package workloads
 
 import (
 	"context"
-	"fmt"
 
 	"chimera/internal/engine"
 	"chimera/internal/gpu"
 	"chimera/internal/kernels"
 	"chimera/internal/metrics"
-	"chimera/internal/sched/predict"
+	"chimera/internal/simjob"
 	"chimera/internal/trace"
 	"chimera/internal/units"
 )
@@ -70,7 +69,9 @@ func Record(opts RecordOptions) (*Recording, error) {
 
 // RecordContext is Record with cancellation threaded down to the engine
 // event loop: a cancelled ctx aborts the simulation within one event
-// and returns ctx's error (no partial Recording is produced).
+// and returns ctx's error (no partial Recording is produced). It runs
+// the periodic scenario path a traced jobspec takes through
+// Executor.Run, with no headroom, watchdog or contention.
 func RecordContext(ctx context.Context, opts RecordOptions) (*Recording, error) {
 	if opts.Bench == "" {
 		opts.Bench = "SAD"
@@ -87,46 +88,37 @@ func RecordContext(ctx context.Context, opts RecordOptions) (*Recording, error) 
 	if opts.Policy == nil {
 		opts.Policy = engine.ChimeraPolicy{}
 	}
-
-	cat := kernels.Load()
-	b, err := cat.Benchmark(opts.Bench)
-	if err != nil {
-		return nil, fmt.Errorf("workloads: record: %w", err)
-	}
-	launches, err := Launches(cat, b)
-	if err != nil {
-		return nil, fmt.Errorf("workloads: record: %w", err)
-	}
-
-	col := trace.NewCollector()
-	var rec trace.Recorder = col
-	if opts.Extra != nil {
-		rec = trace.Multi{col, opts.Extra}
-	}
-	est, err := predict.ForName(opts.Estimator)
-	if err != nil {
-		return nil, fmt.Errorf("workloads: %w", err)
-	}
-	sim := engine.New(engine.Options{
-		Config:     opts.Config,
-		Policy:     opts.Policy,
+	r := &Runner{
+		Window:     opts.Window,
 		Constraint: opts.Constraint,
 		Seed:       opts.Seed,
-		WarmStats:  true,
-		Estimator:  est,
-		Tracer:     rec,
+		Warm:       true,
+		Config:     opts.Config,
 		Metrics:    opts.Metrics,
-	})
-	sim.AddProcess(engine.ProcessSpec{Name: opts.Bench, Launches: launches, Loop: true})
-	sim.AddPeriodicTask(PeriodicSpec(sim.Config().NumSMs))
-	if err := sim.RunContext(ctx, opts.Window); err != nil {
+		Estimator:  opts.Estimator,
+		cat:        kernels.Load(),
+	}
+	sc := scenario{kind: simjob.KindPeriodic, benches: []string{opts.Bench}, policy: opts.Policy}
+	return r.record(ctx, sc, opts.Extra)
+}
+
+// record runs sc uncached with a collector attached (plus extra, when
+// set) and returns the recording.
+func (r *Runner) record(ctx context.Context, sc scenario, extra trace.Recorder) (*Recording, error) {
+	col := trace.NewCollector()
+	var rec trace.Recorder = col
+	if extra != nil {
+		rec = trace.Multi{col, extra}
+	}
+	sim, _, err := r.simulate(ctx, sc, rec)
+	if err != nil {
 		return nil, err
 	}
-
 	out := &Recording{
-		Events: col.Events(),
-		Window: opts.Window,
-		Bench:  opts.Bench,
+		Events:   col.Events(),
+		Requests: len(sim.Requests()),
+		Window:   r.Window,
+		Bench:    sc.benches[0],
 	}
 	for _, p := range sim.PeriodRecords() {
 		out.Periods++
@@ -134,6 +126,5 @@ func RecordContext(ctx context.Context, opts RecordOptions) (*Recording, error) 
 			out.Violations++
 		}
 	}
-	out.Requests = len(sim.Requests())
 	return out, nil
 }

@@ -1,18 +1,25 @@
 // Package workloads assembles the paper's evaluation scenarios from the
 // kernel catalog and the simulation engine: the periodic real-time task
-// scenario of §4.1-§4.3 and the multiprogrammed-pair case study of §4.4,
-// including the non-preemptive FCFS baseline and the stand-alone runs
-// that normalize ANTT/STP.
+// scenario of §4.1-§4.3, the multiprogrammed pairs of §4.4 and their
+// N-process form (including the non-preemptive FCFS baseline), the
+// stand-alone runs that normalize ANTT/STP, and the traced contention
+// run.
 //
-// Every scenario run is routed through an internal/simjob pool: results
-// are memoized by their full Job identity (benchmark, policy, window,
-// constraint, seed, device config, catalog) in a cache shared across the
-// process, with singleflight semantics, so a Runner is safe for
+// Every scenario takes one path: a scenario value names its kind,
+// benchmarks and policy; Runner.job derives its cache identity and
+// Runner.simulate builds the one engine.Options from the Runner's
+// fields, adds the processes (plus the periodic task or a tracer when
+// asked) and runs under a context. Runs are memoized through an
+// internal/simjob pool by that identity (benchmark, policy, window,
+// constraint, seed, device config, catalog) in a cache shared across
+// the process, with singleflight semantics, so a Runner is safe for
 // concurrent use and the stand-alone baseline of a benchmark is
-// simulated once no matter how many exhibits ask for it. The batch APIs
-// (RunPeriodicAll, RunPairsAll, RunMultiAll) enumerate a full job set
-// and fan it out over the pool's workers while assembling results in
-// enumeration order — output is byte-identical at any parallelism.
+// simulated once no matter how many exhibits ask for it. Traced runs
+// keep their event stream and are never cached. The batch APIs
+// (RunPeriodicAll, RunPairsAll, RunMultiAll, Executor.RunSpecs)
+// enumerate a full job set and fan it out over the pool's workers while
+// assembling results in enumeration order — output is byte-identical at
+// any parallelism.
 package workloads
 
 import (
@@ -27,18 +34,9 @@ import (
 	"chimera/internal/preempt"
 	"chimera/internal/sched/predict"
 	"chimera/internal/simjob"
+	"chimera/internal/trace"
 	"chimera/internal/units"
 )
-
-// estimator constructs a fresh per-run estimator instance from the
-// Runner's Estimator name (nil for the default oracle path).
-func (r *Runner) estimator() (predict.Estimator, error) {
-	est, err := predict.ForName(r.Estimator)
-	if err != nil {
-		return nil, fmt.Errorf("workloads: %w", err)
-	}
-	return est, nil
-}
 
 // Launches converts a catalog benchmark into engine launch specs.
 func Launches(cat *kernels.Catalog, b *kernels.Benchmark) ([]engine.LaunchSpec, error) {
@@ -71,7 +69,8 @@ type Runner struct {
 	// the engine (0 = the paper's methodology).
 	Contention float64
 	// Headroom tightens the bound plans target below the judged
-	// constraint (the §4.1 mitigation for estimation error).
+	// constraint (the §4.1 mitigation for estimation error). Only
+	// periodic runs use it.
 	Headroom units.Cycles
 	// Config overrides the device configuration (zero value = Table 1).
 	Config gpu.Config
@@ -151,11 +150,22 @@ func (r *Runner) UsePool(p *simjob.Pool) *Runner {
 	return r
 }
 
+// scenario names one simulation. Its kind fixes every other difference
+// between scenarios: solo runs use the Chimera policy with no estimator
+// and no headroom, and their cache key names no policy; only periodic
+// runs add the §4.1 real-time task and use the Runner's headroom; pair
+// and multi runs name their processes "<bench>#<i>", so self-pairs stay
+// distinct.
+type scenario struct {
+	kind    simjob.Kind
+	benches []string
+	policy  engine.Policy
+	serial  bool
+}
+
 // job builds the cache identity of one scenario run under the Runner's
-// current configuration. Solo runs always execute under the fixed
-// baseline options (Chimera policy, no headroom), so those fields are
-// normalized out of the key to maximize sharing across exhibits.
-func (r *Runner) job(kind simjob.Kind, benches, policy string, serial bool, headroom units.Cycles) simjob.Job {
+// current configuration.
+func (r *Runner) job(sc scenario) simjob.Job {
 	// An armed watchdog or stall injector changes run outcomes, so fold
 	// both into the cache-key variant even when the caller forgot to set
 	// one — a faulted run must never be served as a clean result.
@@ -169,77 +179,135 @@ func (r *Runner) job(kind simjob.Kind, benches, policy string, serial bool, head
 	// estimator-free maximizes sharing (mirroring jobspec.Hash, which
 	// folds the estimator in for all kinds — specs split keys slightly
 	// more eagerly than direct Runner calls, never less).
-	if kind != simjob.KindSolo && r.Estimator != "" && r.Estimator != predict.NameOracle {
+	if sc.kind != simjob.KindSolo && r.Estimator != "" && r.Estimator != predict.NameOracle {
 		variant = fmt.Sprintf("%s|est=%s", variant, r.Estimator)
 	}
-	return simjob.Job{
+	job := simjob.Job{
 		Variant:    variant,
-		Kind:       kind,
-		Benchmarks: benches,
-		Policy:     policy,
-		Serial:     serial,
+		Kind:       sc.kind,
+		Benchmarks: MultiLabel(sc.benches),
+		Serial:     sc.serial,
 		Window:     r.Window,
 		Constraint: r.Constraint,
-		Headroom:   headroom,
 		Seed:       r.Seed,
 		Warm:       r.Warm,
 		Contention: r.Contention,
 		Config:     r.Config,
 		Catalog:    r.cat,
 	}
+	switch sc.kind {
+	case simjob.KindSolo:
+		// Solo runs always execute under the fixed baseline options, so
+		// policy and headroom are normalized out to maximize sharing
+		// across exhibits.
+	case simjob.KindPeriodic:
+		job.Policy = jobspec.PolicyKey(sc.policy, false)
+		job.Headroom = r.Headroom
+	default:
+		job.Policy = jobspec.PolicyKey(sc.policy, sc.serial)
+	}
+	return job
 }
+
+// simulate runs sc on a fresh engine for the Runner's window and returns
+// the finished simulation with its process names. tracer, when set,
+// receives every event. Every scenario in the package builds its engine
+// here.
+func (r *Runner) simulate(ctx context.Context, sc scenario, tracer trace.Recorder) (*engine.Simulation, []string, error) {
+	procs := make([]engine.ProcessSpec, len(sc.benches))
+	for i, bench := range sc.benches {
+		b, err := r.cat.Benchmark(bench)
+		if err != nil {
+			return nil, nil, err
+		}
+		launches, err := Launches(r.cat, b)
+		if err != nil {
+			return nil, nil, err
+		}
+		procs[i] = engine.ProcessSpec{Name: bench, Launches: launches, Loop: true}
+		if sc.kind == simjob.KindPair || sc.kind == simjob.KindMulti {
+			procs[i].Name = fmt.Sprintf("%s#%d", bench, i)
+		}
+	}
+	opts := engine.Options{
+		Config:         r.Config,
+		Policy:         sc.policy,
+		Constraint:     r.Constraint,
+		Seed:           r.Seed,
+		WarmStats:      r.Warm,
+		Serial:         sc.serial,
+		ContentionBeta: r.Contention,
+		Tracer:         tracer,
+		Metrics:        r.Metrics,
+		WatchdogK:      r.Watchdog,
+		FaultStall:     r.Stall,
+	}
+	if sc.kind == simjob.KindSolo {
+		opts.Policy = engine.ChimeraPolicy{}
+	} else {
+		est, err := predict.ForName(r.Estimator)
+		if err != nil {
+			return nil, nil, fmt.Errorf("workloads: %w", err)
+		}
+		opts.Estimator = est
+	}
+	if sc.kind == simjob.KindPeriodic {
+		opts.Headroom = r.Headroom
+	}
+	sim := engine.New(opts)
+	names := make([]string, len(procs))
+	for i, p := range procs {
+		sim.AddProcess(p)
+		names[i] = p.Name
+	}
+	if sc.kind == simjob.KindPeriodic {
+		sim.AddPeriodicTask(PeriodicSpec(sim.Config().NumSMs))
+	}
+	if err := sim.RunContext(ctx, r.Window); err != nil {
+		return nil, nil, err
+	}
+	return sim, names, nil
+}
+
+// do runs fn through the Runner's pool, memoized under sc's identity.
+// executed reports whether this call ran the simulation (false = cache
+// or singleflight hit) — the dedup signal chimerad and replay reports
+// use. A cancelled ctx stops the simulation within one event and the
+// aborted run is not cached.
+func do[T any](ctx context.Context, r *Runner, sc scenario, fn func(context.Context) (T, error)) (res T, executed bool, err error) {
+	v, err := r.pool.DoContext(ctx, r.job(sc), func(ctx context.Context) (any, error) {
+		executed = true
+		return fn(ctx)
+	})
+	if err != nil {
+		return res, executed, err
+	}
+	return v.(T), executed, nil
+}
+
+// noExec drops the executed flag of a scenario call for the
+// context-free convenience wrappers.
+func noExec[T any](res T, _ bool, err error) (T, error) { return res, err }
 
 // SoloRate returns the benchmark's stand-alone progress rate (useful
 // warp instructions per cycle on the whole GPU), memoized per benchmark.
 func (r *Runner) SoloRate(bench string) (float64, error) {
-	rate, _, err := r.SoloRateCtx(context.Background(), bench)
-	return rate, err
+	return noExec(r.solo(context.Background(), bench))
 }
 
-// SoloRateCtx is SoloRate with cancellation threaded down to the engine
-// event loop. executed reports whether this call ran the simulation
-// (false = cache or singleflight hit) — the signal chimerad uses for
-// dedup accounting.
-func (r *Runner) SoloRateCtx(ctx context.Context, bench string) (rate float64, executed bool, err error) {
-	v, err := r.pool.DoContext(ctx, r.job(simjob.KindSolo, bench, "", false, 0), func(ctx context.Context) (any, error) {
-		executed = true
-		return r.soloRate(ctx, bench)
+func (r *Runner) solo(ctx context.Context, bench string) (float64, bool, error) {
+	sc := scenario{kind: simjob.KindSolo, benches: []string{bench}}
+	return do(ctx, r, sc, func(ctx context.Context) (float64, error) {
+		sim, _, err := r.simulate(ctx, sc, nil)
+		if err != nil {
+			return 0, err
+		}
+		rate := float64(sim.ProcessUseful(bench)) / float64(r.Window)
+		if rate <= 0 {
+			return 0, fmt.Errorf("workloads: %s made no stand-alone progress", bench)
+		}
+		return rate, nil
 	})
-	if err != nil {
-		return 0, executed, err
-	}
-	return v.(float64), executed, nil
-}
-
-func (r *Runner) soloRate(ctx context.Context, bench string) (float64, error) {
-	b, err := r.cat.Benchmark(bench)
-	if err != nil {
-		return 0, err
-	}
-	launches, err := Launches(r.cat, b)
-	if err != nil {
-		return 0, err
-	}
-	sim := engine.New(engine.Options{
-		Config:         r.Config,
-		Policy:         engine.ChimeraPolicy{},
-		Constraint:     r.Constraint,
-		Seed:           r.Seed,
-		WarmStats:      r.Warm,
-		ContentionBeta: r.Contention,
-		Metrics:        r.Metrics,
-		WatchdogK:      r.Watchdog,
-		FaultStall:     r.Stall,
-	})
-	sim.AddProcess(engine.ProcessSpec{Name: bench, Launches: launches, Loop: true})
-	if err := sim.RunContext(ctx, r.Window); err != nil {
-		return 0, err
-	}
-	rate := float64(sim.ProcessUseful(bench)) / float64(r.Window)
-	if rate <= 0 {
-		return 0, fmt.Errorf("workloads: %s made no stand-alone progress", bench)
-	}
-	return rate, nil
 }
 
 // PeriodicSpec returns the §4.1 synthetic real-time task: launched every
@@ -302,67 +370,31 @@ type RequestOutcome struct {
 // Results are memoized per job identity so figures sharing the same
 // runs (Fig 6 and Fig 7) pay for them once.
 func (r *Runner) RunPeriodic(bench string, policy engine.Policy) (PeriodicResult, error) {
-	res, _, err := r.RunPeriodicCtx(context.Background(), bench, policy)
-	return res, err
+	return noExec(r.periodic(context.Background(), bench, policy))
 }
 
-// RunPeriodicCtx is RunPeriodic with cancellation threaded down to the
-// engine event loop: a cancelled ctx stops the simulation within one
-// event and the aborted run is not cached. executed reports whether
-// this call ran the simulation (false = cache or singleflight hit).
-func (r *Runner) RunPeriodicCtx(ctx context.Context, bench string, policy engine.Policy) (res PeriodicResult, executed bool, err error) {
-	job := r.job(simjob.KindPeriodic, bench, jobspec.PolicyKey(policy, false), false, r.Headroom)
-	v, err := r.pool.DoContext(ctx, job, func(ctx context.Context) (any, error) {
-		executed = true
-		return r.runPeriodic(ctx, bench, policy)
+func (r *Runner) periodic(ctx context.Context, bench string, policy engine.Policy) (PeriodicResult, bool, error) {
+	sc := scenario{kind: simjob.KindPeriodic, benches: []string{bench}, policy: policy}
+	return do(ctx, r, sc, func(ctx context.Context) (PeriodicResult, error) {
+		soloRate, _, err := r.solo(ctx, bench)
+		if err != nil {
+			return PeriodicResult{}, err
+		}
+		sim, _, err := r.simulate(ctx, sc, nil)
+		if err != nil {
+			return PeriodicResult{}, err
+		}
+		return periodicResult(sim, bench, policy, soloRate), nil
 	})
-	if err != nil {
-		return PeriodicResult{}, executed, err
-	}
-	return v.(PeriodicResult), executed, nil
 }
 
-func (r *Runner) runPeriodic(ctx context.Context, bench string, policy engine.Policy) (PeriodicResult, error) {
-	soloRate, _, err := r.SoloRateCtx(ctx, bench)
-	if err != nil {
-		return PeriodicResult{}, err
-	}
-	b, err := r.cat.Benchmark(bench)
-	if err != nil {
-		return PeriodicResult{}, err
-	}
-	launches, err := Launches(r.cat, b)
-	if err != nil {
-		return PeriodicResult{}, err
-	}
-	est, err := r.estimator()
-	if err != nil {
-		return PeriodicResult{}, err
-	}
-	sim := engine.New(engine.Options{
-		Config:         r.Config,
-		Policy:         policy,
-		Constraint:     r.Constraint,
-		Seed:           r.Seed,
-		WarmStats:      r.Warm,
-		Estimator:      est,
-		ContentionBeta: r.Contention,
-		Headroom:       r.Headroom,
-		Metrics:        r.Metrics,
-		WatchdogK:      r.Watchdog,
-		FaultStall:     r.Stall,
-	})
-	sim.AddProcess(engine.ProcessSpec{Name: bench, Launches: launches, Loop: true})
-	rt := PeriodicSpec(sim.Config().NumSMs)
-	sim.AddPeriodicTask(rt)
-	if err := sim.RunContext(ctx, r.Window); err != nil {
-		return PeriodicResult{}, err
-	}
-
+// periodicResult applies the §4.1 accounting to a finished periodic run.
+func periodicResult(sim *engine.Simulation, bench string, policy engine.Policy, soloRate float64) PeriodicResult {
 	res := PeriodicResult{Benchmark: bench, Policy: policy.Name()}
 	// The real-time task is entitled to SMs/NumSMs of the machine for
 	// Exec out of every Period: the benchmark's fair share of SM-time is
 	// the remainder of its stand-alone throughput.
+	rt := PeriodicSpec(sim.Config().NumSMs)
 	solo := soloRate * float64(rt.Period)
 	share := 1 - float64(rt.SMs)/float64(sim.Config().NumSMs)*float64(rt.Exec)/float64(rt.Period)
 	fair := solo * share
@@ -395,124 +427,7 @@ func (r *Runner) runPeriodic(ctx context.Context, bench string, policy engine.Po
 		out.Technique, out.HasTechnique = req.Dominant()
 		res.Outcomes = append(res.Outcomes, out)
 	}
-	return res, nil
-}
-
-// PairResult is one benchmark-pair × policy outcome of the §4.4 case
-// study: absolute ANTT and STP (improvements over FCFS are computed by
-// the experiment harness from two PairResults).
-type PairResult struct {
-	A, B   string
-	Policy string
-	ANTT   float64
-	STP    float64
-	// Requests is the number of preemption requests the pair generated.
-	Requests int
-}
-
-// RunPair runs two benchmarks concurrently under the given policy (nil
-// policy + serial=true is the FCFS baseline) and computes ANTT/STP
-// against their stand-alone rates.
-func (r *Runner) RunPair(a, b string, policy engine.Policy, serial bool) (PairResult, error) {
-	res, _, err := r.RunPairCtx(context.Background(), a, b, policy, serial)
-	return res, err
-}
-
-// RunPairCtx is RunPair with cancellation threaded down to the engine
-// event loop (see RunPeriodicCtx). executed reports whether this call
-// ran the simulation (false = cache or singleflight hit).
-func (r *Runner) RunPairCtx(ctx context.Context, a, b string, policy engine.Policy, serial bool) (res PairResult, executed bool, err error) {
-	job := r.job(simjob.KindPair, a+"+"+b, jobspec.PolicyKey(policy, serial), serial, 0)
-	v, err := r.pool.DoContext(ctx, job, func(ctx context.Context) (any, error) {
-		executed = true
-		return r.runPair(ctx, a, b, policy, serial)
-	})
-	if err != nil {
-		return PairResult{}, executed, err
-	}
-	return v.(PairResult), executed, nil
-}
-
-func (r *Runner) runPair(ctx context.Context, a, b string, policy engine.Policy, serial bool) (PairResult, error) {
-	rateA, _, err := r.SoloRateCtx(ctx, a)
-	if err != nil {
-		return PairResult{}, err
-	}
-	rateB, _, err := r.SoloRateCtx(ctx, b)
-	if err != nil {
-		return PairResult{}, err
-	}
-	ba, err := r.cat.Benchmark(a)
-	if err != nil {
-		return PairResult{}, err
-	}
-	bb, err := r.cat.Benchmark(b)
-	if err != nil {
-		return PairResult{}, err
-	}
-	la, err := Launches(r.cat, ba)
-	if err != nil {
-		return PairResult{}, err
-	}
-	lb, err := Launches(r.cat, bb)
-	if err != nil {
-		return PairResult{}, err
-	}
-	est, err := r.estimator()
-	if err != nil {
-		return PairResult{}, err
-	}
-	sim := engine.New(engine.Options{
-		Config:         r.Config,
-		Policy:         policy,
-		Constraint:     r.Constraint,
-		Seed:           r.Seed,
-		WarmStats:      r.Warm,
-		Estimator:      est,
-		Serial:         serial,
-		ContentionBeta: r.Contention,
-		Metrics:        r.Metrics,
-		WatchdogK:      r.Watchdog,
-		FaultStall:     r.Stall,
-	})
-	// Process names must be unique even for self-pairs (A == B).
-	nameA, nameB := a+"#0", b+"#1"
-	sim.AddProcess(engine.ProcessSpec{Name: nameA, Launches: la, Loop: true})
-	sim.AddProcess(engine.ProcessSpec{Name: nameB, Launches: lb, Loop: true})
-	if err := sim.RunContext(ctx, r.Window); err != nil {
-		return PairResult{}, err
-	}
-
-	// A process that never got the GPU inside the window (FCFS behind a
-	// 20ms kernel) has measured rate zero; floor it at one instruction
-	// per window so its normalized turnaround reflects the starvation
-	// instead of failing the metric.
-	rate := func(name string) float64 {
-		u := sim.ProcessUseful(name)
-		if u < 1 {
-			u = 1
-		}
-		return float64(u) / float64(r.Window)
-	}
-	progs := []metrics.ProgRate{
-		{Name: a, Single: rateA, Multi: rate(nameA)},
-		{Name: b, Single: rateB, Multi: rate(nameB)},
-	}
-	antt, err := metrics.ANTT(progs)
-	if err != nil {
-		return PairResult{}, fmt.Errorf("workloads: %s/%s under %s: %w", a, b, jobspec.PolicyName(policy, serial), err)
-	}
-	stp, err := metrics.STP(progs)
-	if err != nil {
-		return PairResult{}, err
-	}
-	return PairResult{
-		A: a, B: b,
-		Policy:   jobspec.PolicyName(policy, serial),
-		ANTT:     antt,
-		STP:      stp,
-		Requests: len(sim.Requests()),
-	}, nil
+	return res
 }
 
 // StandardPolicies returns the four §4 contenders in the paper's
